@@ -6,12 +6,19 @@ the class orderings that could lay the sets out as intervals, then test the
 interval family and read the two bounding paths off it.  Accepted blocks
 come back with their element ordering and pair; the assembled result is the
 blocks' direct sum in a deterministic order.
+
+The ordering search is a depth-first search over class permutations with
+forward checking: each newly formed adjacent pair is checked at once against
+every class still to be placed, only classes meeting the last placed class
+are tried while any remain, and the search runs on an explicit stack.  It
+returns the same orderings, in the same order, as the unpruned search.
 """
 
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .pairs import BoundingPair, IntervalPresentation, direct_sum
+from .pairs import (BoundingPair, IntervalPresentation, canonical_form,
+                    direct_sum)
 from .setsystem import (components, make_system, maximal_presentation,
                         special_elements)
 
@@ -60,38 +67,64 @@ def order_classes(classes):
     A placement at position j is admissible against every earlier position
     i (1 < i < j): the image of X_j may meet X_{i-1}'s image only inside
     X_i's, and whenever it meets X_{i-1}'s image it must pick up everything
-    X_i added beyond X_{i-1}.  Both checks only mention the prefix, so the
-    search prunes as it goes.
+    X_i added beyond X_{i-1}.  The result lists every ordering in which each
+    class is admissible at its position, in lexicographic order of the
+    class indices.
+
+    The depth-first search prunes with three devices that leave the result
+    set and its order unchanged:
+
+    * forward check: once class c follows prev, every unused class will be
+      placed later and must be admissible against the pair (prev, c), so
+      the pair is checked at once against all of them and the prefix is
+      dropped if one fails.  A class disjoint from prev's image always
+      passes, so only the unused classes meeting prev are checked, found
+      through an index of the classes by presentation set;
+    * candidate restriction: while some unused class meets prev's image, a
+      candidate disjoint from prev fails the forward check, so only the
+      unused classes meeting prev are tried, in ascending index order; all
+      unused classes are tried otherwise, and at the root;
+    * explicit stack: the search keeps a stack of candidate iterators
+      instead of recursing, so blocks with thousands of classes stay clear
+      of the recursion limit.
     """
     k = len(classes)
+    if k == 0:
+        return [()]
     images = [c.image for c in classes]
-    results = []
-    seq = []
+    by_set = {}
+    for c, img in enumerate(images):
+        for j in img:
+            by_set.setdefault(j, []).append(c)
+    meets = [sorted({d for j in img for d in by_set[j]} - {c})
+             for c, img in enumerate(images)]
     used = [False] * k
-
-    def admissible(cand):
-        nj = images[cand]
-        for i in range(2, len(seq) + 1):
-            prev, cur = images[seq[i - 2]], images[seq[i - 1]]
-            if not (prev & nj) <= (prev & cur):
-                return False
-            if (nj & prev) and not (cur - prev) <= (nj - prev):
-                return False
-        return True
-
-    def search():
-        if len(seq) == k:
-            results.append(tuple(seq))
-            return
-        for c in range(k):
-            if not used[c] and admissible(c):
-                used[c] = True
-                seq.append(c)
-                search()
-                seq.pop()
-                used[c] = False
-
-    search()
+    seq = []
+    results = []
+    # one frame per open position: (candidate iterator, unused classes
+    # meeting the last placed class)
+    stack = [(iter(range(k)), ())]
+    while stack:
+        candidates, live = stack[-1]
+        c = next(candidates, None)
+        if c is None:
+            stack.pop()
+            if seq:
+                used[seq.pop()] = False
+            continue
+        if live:
+            prev, cur = images[seq[-1]], images[c]
+            gain = cur - prev
+            if not all(images[u] & prev <= cur and gain <= images[u]
+                       for u in live if u != c):
+                continue
+        if len(seq) + 1 == k:
+            results.append((*seq, c))
+            continue
+        used[c] = True
+        seq.append(c)
+        live = [u for u in meets[c] if not used[u]]
+        stack.append((iter(live or [u for u in range(k) if not used[u]]), live))
     return [tuple(classes[i] for i in order) for order in results]
 
 
@@ -140,8 +173,9 @@ def recover_paths(presentation):
         gs.append(b - dd)
     assert all(x < y for x, y in zip(ls, ls[1:]))
     assert all(x < y for x, y in zip(gs, gs[1:]))
-    upper = "".join("N" if t in set(ls) else "E" for t in range(1, n + 1))
-    lower = "".join("N" if t in set(gs) else "E" for t in range(1, n + 1))
+    lset, gset = set(ls), set(gs)
+    upper = "".join("N" if t in lset else "E" for t in range(1, n + 1))
+    lower = "".join("N" if t in gset else "E" for t in range(1, n + 1))
     return BoundingPair(lower, upper)
 
 
@@ -176,11 +210,10 @@ def _recognize_block(system):
                 first_fail = f"interval family fails {detail[0]} at {detail[1]}"
             continue
         pair = recover_paths(ip)
-        rotated = (pair.upper[::-1], pair.lower[::-1])
-        if rotated < (pair.lower, pair.upper):
-            pair = BoundingPair(*rotated)
+        canon = canonical_form(pair)
+        if canon != pair:
             labels.reverse()
-        return tuple(labels), pair
+        return tuple(labels), canon
     return Rejection(comp, 6, first_fail)
 
 

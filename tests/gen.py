@@ -40,6 +40,23 @@ def random_connected_pair(rng, n_min=2, n_max=12):
             return p
 
 
+def band_pair(rng, n, width):
+    """Connected pair: the region within `width` N-steps of a random path.
+
+    Both bounds are clipped to the rectangle, which keeps them strictly
+    apart inside (0, n) for every width >= 1, so the pair is connected.
+    """
+    r = n // 2
+    word = ["N"] * r + ["E"] * (n - r)
+    rng.shuffle(word)
+    prof = [0]
+    for s in word:
+        prof.append(prof[-1] + (s == "N"))
+    hi = [min(t, c + width, r) for t, c in enumerate(prof)]
+    lo = [max(0, t - (n - r), c - width) for t, c in enumerate(prof)]
+    return BoundingPair(word_from_profile(lo[1:]), word_from_profile(hi[1:]))
+
+
 def all_pairs(n):
     """Every bounding pair on n steps, lower weakly below upper."""
     by_r = {}

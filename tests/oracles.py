@@ -170,6 +170,45 @@ def automorphism_count_brute(lower, upper):
     return count
 
 
+def admissible_orderings(images):
+    """Every admissible ordering of class images, as index tuples.
+
+    Exhaustive search over permutations: a class may follow the prefix when
+    it is admissible against each adjacent pair (p, q) of the prefix, that is,
+    it meets p only inside q, and when it meets p it contains q - p.  Tuples
+    come out in lexicographic order.
+    """
+    k = len(images)
+    results = []
+    seq = []
+    used = [False] * k
+
+    def admissible(cand):
+        nj = images[cand]
+        for i in range(2, len(seq) + 1):
+            prev, cur = images[seq[i - 2]], images[seq[i - 1]]
+            if not (prev & nj) <= (prev & cur):
+                return False
+            if (nj & prev) and not (cur - prev) <= (nj - prev):
+                return False
+        return True
+
+    def search():
+        if len(seq) == k:
+            results.append(tuple(seq))
+            return
+        for c in range(k):
+            if not used[c] and admissible(c):
+                used[c] = True
+                seq.append(c)
+                search()
+                seq.pop()
+                used[c] = False
+
+    search()
+    return results
+
+
 def bondy_maximal(ground, sets):
     """Grow each set by the isthmuses of the deletion of that set."""
     grown = []

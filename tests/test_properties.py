@@ -5,7 +5,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from latpath import (BoundingPair, Uniform, brute_circuits,
+from latpath import (BoundingPair, IncidenceClass, Uniform, brute_circuits,
                      brute_connectivity, catalog, circuits, connected_flats,
                      connectivity, construct, count_bases, direct_sum, dual,
                      dual_table, element_interval, entry_table,
@@ -17,7 +17,7 @@ from latpath import (BoundingPair, Uniform, brute_circuits,
                      to_rank_table, canonical_form)
 from gen import random_connected_pair, random_pair, random_system, \
     random_table, shuffled_presentation
-from oracles import is_lpm_system, pair_sets
+from oracles import admissible_orderings, is_lpm_system, pair_sets
 
 FAST = settings(derandomize=True, max_examples=25, deadline=None)
 SLOW = settings(derandomize=True, max_examples=10, deadline=None)
@@ -367,6 +367,30 @@ def test_accepted_orderings_come_in_mirror_pairs(seed):
     assert 1 <= len(got) <= 2
     if len(got) == 2:
         assert got[1] == got[0][::-1]
+
+
+def assert_orderings_match_oracle(classes):
+    want = [tuple(classes[i] for i in order)
+            for order in admissible_orderings([c.image for c in classes])]
+    assert order_classes(classes) == want
+
+
+@FAST
+@given(st.integers(0, 10**6))
+def test_order_classes_matches_exhaustive_search_on_presentations(seed):
+    rng = random.Random(seed)
+    system, _ = shuffled_presentation(rng, random_pair(rng, n_min=0, n_max=12))
+    assert_orderings_match_oracle(incidence_classes(maximal_presentation(system)))
+    system = random_system(rng, n_max=7)
+    assert_orderings_match_oracle(incidence_classes(maximal_presentation(system)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 5), min_size=1),
+                max_size=7, unique=True))
+def test_order_classes_matches_exhaustive_search_on_image_families(images):
+    assert_orderings_match_oracle(
+        [IncidenceClass((i,), img) for i, img in enumerate(images)])
 
 
 # --------------------------------------------------------------------- classes

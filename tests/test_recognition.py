@@ -1,12 +1,14 @@
 """Recognition pipeline: incidence classes, orderings, interval test, recovery."""
 
 import random
+import time
 
 from latpath import (BoundingPair, IntervalPresentation, canonical_form,
                      check_charint, incidence_classes, lpm_components,
-                     make_system, matching_rank, order_classes, recognize,
-                     recover_paths, standard_presentation)
-from gen import shuffled_presentation
+                     lpm_maximal_presentation, make_system, matching_rank,
+                     order_classes, recognize, recover_paths,
+                     standard_presentation)
+from gen import band_pair, random_connected_pair, shuffled_presentation
 
 
 def interval_system(intervals, n):
@@ -133,3 +135,33 @@ def test_recognize_round_trip_shuffled():
             want = sorted(canonical_form(c) for c in lpm_components(pair))
             assert [(p.lower, p.upper) for p in got] == \
                 [(p.lower, p.upper) for p in want]
+
+
+def test_recognize_n64_many_classes_within_time_bound():
+    rng = random.Random(64)
+    done = 0
+    while done < 4:
+        pair = random_connected_pair(rng, n_min=64, n_max=64)
+        classes = incidence_classes(lpm_maximal_presentation(pair).to_system())
+        if len(classes) < 16:
+            continue
+        system, _ = shuffled_presentation(rng, pair)
+        start = time.perf_counter()
+        out = recognize(system)
+        assert time.perf_counter() - start < 2.0
+        assert out.accepted
+        assert [p for _, p in out.components] == [canonical_form(pair)]
+        done += 1
+
+
+def test_order_classes_scales_to_thousands_of_classes():
+    # over a thousand classes: one Python frame per class would pass the
+    # default recursion limit
+    pair = band_pair(random.Random(4096), 4096, 2)
+    maxp = lpm_maximal_presentation(pair, strip_isthmuses=True).to_system()
+    classes = incidence_classes(maxp)
+    assert len(classes) > 1000
+    start = time.perf_counter()
+    got = order_classes(classes)
+    assert time.perf_counter() - start < 10.0
+    assert got == [tuple(classes), tuple(classes)[::-1]]
