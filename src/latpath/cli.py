@@ -5,8 +5,10 @@ document (--system FILE, `-` for stdin).  The document is a JSON object with
 exactly two keys: "ground", an array of distinct string or integer labels,
 and "sets", an array of arrays of ground labels (no duplicates within a
 set).  Exit codes: 0 success or accept, 1 semantic reject or failed
-verification, 2 malformed input.  Output is plain keyed lines, byte
-deterministic for identical inputs.
+verification, 2 malformed input or refused work, 3 internal error (an
+unexpected exception, reported as one `error: internal error:` line with no
+traceback).  Output is plain keyed lines, byte deterministic for identical
+inputs.
 """
 
 import argparse
@@ -291,6 +293,9 @@ def main(argv=None):
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

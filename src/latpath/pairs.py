@@ -10,12 +10,12 @@ oracles.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import (DomainError, InputError, NoSpanningCircuitError,
-                     ResourceError)
-from .ranktable import RankTable
+from .errors import DomainError, InputError, NoSpanningCircuitError
+from .ranktable import RankTable, _check_size
 
 STEPS = "EN"
 
@@ -472,34 +472,34 @@ def automorphism_count(pair):
 
 
 def to_rank_table(pair, cap=16):
-    """Full rank table via augmenting-path matchings into the interval sets.
+    """Full rank table by greedy matching into the standard presentation.
 
-    Masks are processed by adding one element to the matching of the
-    mask-without-its-lowest-element, so each subset costs one augmentation.
+    The presentation's intervals [l[i], g[i]] have strictly increasing left
+    and right ends.  Matching the elements of a set in ascending order,
+    each to the unused interval that reaches it and ends first, is a
+    maximum matching of a convex bipartite graph (Glover, Naval Res.
+    Logist. Q. 14, 1967).  Here the interval that ends first is the one of
+    least index.  An unused interval below the last one used was skipped by
+    the element that took that one, so it ends before that element and can
+    take no later element.  The greedy state after a set is therefore one
+    index, nxt: the one after the last interval used.  A mask extends the
+    mask without its top element x; the candidate for x is j = max(nxt,
+    first interval with g >= x), and x is matched exactly when j exists and
+    l[j] <= x.  Each mask costs O(1) from a smaller one, and only the ranks
+    and the nxt indices are kept.
     """
     n = pair.size
-    if n > cap:
-        raise ResourceError(f"{n} elements exceeds cap {cap}")
-    ivs = standard_presentation(pair).intervals
-    adj = [[i for i, (lo, hi) in enumerate(ivs) if lo <= x <= hi]
-           for x in range(1, n + 1)]
-    ranks = [0] * (1 << n)
-    matchings = [()] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        prev = mask ^ (1 << low)
-        match = dict(matchings[prev])
-
-        def augment(x, seen):
-            for s in adj[x]:
-                if s in seen:
-                    continue
-                seen.add(s)
-                if s not in match or augment(match[s], seen):
-                    match[s] = x
-                    return True
-            return False
-
-        ranks[mask] = ranks[prev] + (1 if augment(low, set()) else 0)
-        matchings[mask] = tuple(sorted(match.items()))
+    _check_size(n, cap)
+    l, g = _ends(pair)
+    ranks, nxt = [0], [0]
+    for x in range(1, n + 1):
+        first = bisect_left(g, x)   # first interval with g >= x
+        reach = bisect_right(l, x)  # intervals with l <= x are 0..reach-1
+        if first >= reach:          # x is a loop: no interval reaches it
+            ranks += ranks
+            nxt += nxt
+            continue
+        # masks 2**(x-1) .. 2**x - 1 in order: the top bit x over every prev
+        ranks += [rk + (j < reach) for rk, j in zip(ranks, nxt)]
+        nxt += [max(j, first) + 1 if j < reach else j for j in nxt]
     return RankTable(tuple(range(1, n + 1)), tuple(ranks))

@@ -4,6 +4,13 @@ A RankTable stores the full rank function of a matroid, indexed by bitmask
 over a fixed ground order.  Everything downstream (circuits, flats,
 connectivity, isomorphism, minors) is computed from it by exhaustive scan;
 these serve as reference oracles for the closed-form path operations.
+The scans work on masks: a mask's test walks only the bits it needs (the
+members of a candidate circuit, the non-members of a candidate flat), and
+minors lift their masks by doubling instead of bit by bit.
+
+Tables hold 2**n entries, so no table is built past TABLE_LIMIT elements:
+every builder checks its size against min(cap, TABLE_LIMIT) before it
+allocates anything of size 2**n, and raises ResourceError past it.
 """
 
 import math
@@ -14,6 +21,15 @@ from .errors import (DomainError, InvalidPavingError, InvalidRelaxationError,
                      ResourceError)
 
 DEFAULT_CAP = 16
+TABLE_LIMIT = 24  # hard ceiling on the ground size of any table, whatever the cap
+
+
+def _check_size(n, cap=TABLE_LIMIT):
+    """Refuse a 2**n table past min(cap, TABLE_LIMIT), before it is allocated."""
+    if n > min(cap, TABLE_LIMIT):
+        if n > TABLE_LIMIT:
+            raise ResourceError(f"{n} elements is past the hard table limit {TABLE_LIMIT}")
+        raise ResourceError(f"{n} elements exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -25,8 +41,7 @@ class RankTable:
         n = len(self.ground)
         if len(set(self.ground)) != n:
             raise DomainError("ground has repeated labels")
-        if n > 24:
-            raise ResourceError(f"{n} elements is past the hard table limit")
+        _check_size(n)
         if len(self.ranks) != 1 << n:
             raise DomainError("rank list length must be 2**|ground|")
 
@@ -43,13 +58,7 @@ class RankTable:
         return self.size - self.rank_total
 
     def mask_of(self, X):
-        idx = {e: i for i, e in enumerate(self.ground)}
-        m = 0
-        for e in X:
-            if e not in idx:
-                raise DomainError(f"{e!r} not in ground")
-            m |= 1 << idx[e]
-        return m
+        return _label_mask({e: 1 << i for i, e in enumerate(self.ground)}, X)
 
     def set_of(self, mask):
         return frozenset(e for i, e in enumerate(self.ground) if mask >> i & 1)
@@ -122,6 +131,15 @@ class Paving:
         self.hyperplanes = tuple(frozenset(h) for h in hyperplanes)
 
 
+def _label_mask(bits, X):
+    m = 0
+    for e in X:
+        if e not in bits:
+            raise DomainError(f"{e!r} not in ground")
+        m |= bits[e]
+    return m
+
+
 def _relabel(table):
     return RankTable(tuple(range(1, table.size + 1)), table.ranks)
 
@@ -164,10 +182,13 @@ def paving_table(rank, ground, hyperplanes):
     n = len(ground)
     if not 1 <= rank <= n:
         raise InvalidPavingError("rank out of range")
-    probe = RankTable(ground, (0,) * (1 << n))  # label bookkeeping only
+    _check_size(n)
+    bits = {e: 1 << i for i, e in enumerate(ground)}
+    if len(bits) != n:
+        raise DomainError("ground has repeated labels")
     masks = []
     for h in hyperplanes:
-        m = probe.mask_of(h)
+        m = _label_mask(bits, h)
         if not rank <= m.bit_count() <= n - 1:
             raise InvalidPavingError("hyperplane size must be in [rank, n-1]")
         masks.append(m)
@@ -187,20 +208,19 @@ def construct(expr, cap=DEFAULT_CAP):
     """Evaluate a construction expression to a RankTable.
 
     Sums relabel the ground to 1..n (left part in the low positions); the
-    other constructors keep their argument's labels.
+    other constructors keep their argument's labels.  Every table is
+    refused past min(cap, TABLE_LIMIT) elements before it is allocated.
     """
     if isinstance(expr, Uniform):
         r, n = expr.rank, expr.size
         if not 0 <= r <= n:
             raise DomainError("uniform rank out of range")
-        if n > cap:
-            raise ResourceError(f"{n} elements exceeds cap {cap}")
+        _check_size(n, cap)
         ranks = tuple(min(m.bit_count(), r) for m in range(1 << n))
         return RankTable(tuple(range(1, n + 1)), ranks)
     if isinstance(expr, DirectSum):
         tables = [_relabel(construct(p, cap)) for p in expr.parts]
-        if sum(t.size for t in tables) > cap:
-            raise ResourceError("sum exceeds cap")
+        _check_size(sum(t.size for t in tables), cap)
         acc = tables[0]
         for t in tables[1:]:
             acc = _pair_sum(acc, t)
@@ -212,16 +232,14 @@ def construct(expr, cap=DEFAULT_CAP):
         return RankTable(t.ground, tuple(min(r, expr.rank) for r in t.ranks))
     if isinstance(expr, FreeExt):
         t = construct(expr.expr, cap)
-        if t.size + 1 > cap:
-            raise ResourceError("extension exceeds cap")
+        _check_size(t.size + 1, cap)
         label = _fresh_label(t.ground)
         r = t.rank_total
         ranks = list(t.ranks) + [min(t.ranks[m] + 1, r) for m in range(1 << t.size)]
         return RankTable(t.ground + (label,), tuple(ranks))
     if isinstance(expr, ParallelExt):
         t = construct(expr.expr, cap)
-        if t.size + 1 > cap:
-            raise ResourceError("extension exceeds cap")
+        _check_size(t.size + 1, cap)
         x = t.mask_of([expr.of])
         label = _fresh_label(t.ground)
         ranks = list(t.ranks) + [t.ranks[m | x] for m in range(1 << t.size)]
@@ -231,8 +249,7 @@ def construct(expr, cap=DEFAULT_CAP):
     if isinstance(expr, Relax):
         return relax_table(construct(expr.expr, cap), expr.hyperplane)
     if isinstance(expr, Paving):
-        if len(expr.ground) > cap:
-            raise ResourceError("paving exceeds cap")
+        _check_size(len(expr.ground), cap)
         return paving_table(expr.rank, expr.ground, expr.hyperplanes)
     raise DomainError(f"not a construction expression: {expr!r}")
 
@@ -252,16 +269,27 @@ def minor(table, deleted, contracted):
     cmask = table.mask_of(contracted)
     if dmask & cmask:
         raise DomainError("deleted and contracted sets overlap")
-    keep = [i for i in range(table.size) if not (dmask | cmask) >> i & 1]
-    base = table.ranks[cmask]
-    ranks = []
-    for m in range(1 << len(keep)):
-        lifted = cmask
-        for bit, i in enumerate(keep):
-            if m >> bit & 1:
-                lifted |= 1 << i
-        ranks.append(table.ranks[lifted] - base)
-    return RankTable(tuple(table.ground[i] for i in keep), tuple(ranks))
+    return _minor_masks(table, dmask, cmask)
+
+
+def _minor_masks(table, dmask, cmask):
+    """Minor by disjoint delete and contract masks.
+
+    The host masks of the minor's subsets are built by doubling: each kept
+    element appends a copy of the list so far with its bit set, so bit k of
+    a minor mask stands for the k-th kept element.
+    """
+    r = table.ranks
+    gone = dmask | cmask
+    lifted = [cmask]
+    ground = []
+    for i, e in enumerate(table.ground):
+        bit = 1 << i
+        if not gone & bit:
+            lifted += [m | bit for m in lifted]
+            ground.append(e)
+    base = r[cmask]
+    return RankTable(tuple(ground), tuple([r[m] - base for m in lifted]))
 
 
 # brute-force oracles
@@ -272,23 +300,39 @@ def _sort_key(table):
 
 
 def brute_circuits(table):
-    """All circuits: dependent sets whose proper subsets are independent."""
+    """All circuits: dependent sets whose proper subsets are independent.
+
+    A circuit C has rank |C| - 1, so only those masks are tested, and only
+    by dropping each of their own bits.
+    """
     r = table.ranks
     out = []
-    for m in range(1, 1 << table.size):
-        k = m.bit_count()
-        if r[m] >= k:
+    for m in range(1, len(r)):
+        k = m.bit_count() - 1
+        if r[m] != k:
             continue
-        if all(r[m ^ (1 << i)] == k - 1 for i in range(table.size) if m >> i & 1):
+        rest = m
+        while rest:
+            low = rest & -rest
+            if r[m ^ low] != k:
+                break
+            rest ^= low
+        else:
             out.append(table.set_of(m))
     key = _sort_key(table)
     return sorted(out, key=lambda c: (len(c), key(c)))
 
 
-def _is_flat(table, m):
-    r = table.ranks
-    return all(r[m | 1 << i] > r[m]
-               for i in range(table.size) if not m >> i & 1)
+def _is_flat(r, full, m):
+    """Whether every element outside m raises its rank (full: ground mask)."""
+    rm = r[m]
+    rest = full ^ m
+    while rest:
+        low = rest & -rest
+        if r[m | low] == rm:
+            return False
+        rest ^= low
+    return True
 
 
 def _is_connected_mask(table, m):
@@ -307,12 +351,14 @@ def _is_connected_mask(table, m):
 
 def brute_connected_flats(table):
     """Nontrivial (dependent) connected flats, with ranks."""
+    r = table.ranks
+    full = len(r) - 1
     out = []
-    for m in range(1, 1 << table.size):
-        if table.ranks[m] >= m.bit_count():
+    for m in range(1, full + 1):
+        if r[m] >= m.bit_count():
             continue
-        if _is_flat(table, m) and _is_connected_mask(table, m):
-            out.append((table.set_of(m), table.ranks[m]))
+        if _is_flat(r, full, m) and _is_connected_mask(table, m):
+            out.append((table.set_of(m), r[m]))
     key = _sort_key(table)
     return sorted(out, key=lambda fr: (len(fr[0]), key(fr[0])))
 
@@ -344,9 +390,7 @@ def brute_connectivity(table):
     total = r[-1]
     best = math.inf
     full = (1 << n) - 1
-    for m in range(1, full):
-        if not m & 1:
-            continue  # fix lowest element on one side
+    for m in range(1, full, 2):  # fix lowest element on one side
         lam = r[m] + r[full ^ m] - total + 1
         if lam <= min(m.bit_count(), n - m.bit_count()):
             best = min(best, lam)
@@ -354,10 +398,12 @@ def brute_connectivity(table):
 
 
 def _flat_counts(table):
+    r = table.ranks
+    full = len(r) - 1
     counts = {}
-    for m in range(1 << table.size):
-        if _is_flat(table, m):
-            counts[table.ranks[m]] = counts.get(table.ranks[m], 0) + 1
+    for m in range(full + 1):
+        if _is_flat(r, full, m):
+            counts[r[m]] = counts.get(r[m], 0) + 1
     return tuple(sorted(counts.items()))
 
 
@@ -446,7 +492,7 @@ def has_minor(host, pattern):
                 dmask |= 1 << i
             if host.ranks[full ^ dmask] - c != rp:
                 continue
-            m = minor(host, host.set_of(dmask), host.set_of(cmask))
+            m = _minor_masks(host, dmask, cmask)
             if _iso_invariants(m) == pinv and is_isomorphic(m, pattern):
                 return True
     return False

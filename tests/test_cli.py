@@ -235,3 +235,22 @@ def test_info_system_matches_info_pair(tmp_path, capsys):
 def test_info_requires_an_input(capsys):
     with pytest.raises(SystemExit):
         main(["info"])
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    import latpath.cli as cli
+
+    def boom(args):
+        raise RuntimeError("simulated fault")
+    monkeypatch.setattr(cli, "cmd_info", boom)
+    rc, out, err = run(capsys, "info", "--pair", "EENN", "NNEE")
+    assert rc == 3
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: simulated fault\n"
+
+
+def test_class_cap_past_table_limit_is_refused(capsys):
+    rc, out, err = run(capsys, "class", "--catalog", "Mn", "13", "--verify",
+                       "--cap", "64")
+    assert rc == 2
+    assert err.startswith("error: ") and "limit" in err

@@ -12,7 +12,8 @@ from latpath import (BoundingPair, DomainError, InputError,
                      lpm_maximal_presentation, path_minor, restrict_interval,
                      spanning_circuit, standard_presentation, to_rank_table,
                      validate_word)
-from oracles import all_bases, circuits_of, pair_sets
+from gen import all_pairs
+from oracles import all_bases, automorphism_count_brute, circuits_of, pair_sets
 
 U24 = BoundingPair("EENN", "NNEE")
 P3 = BoundingPair("EENENN", "NNENEE")
@@ -271,6 +272,14 @@ def test_automorphism_count():
     assert automorphism_count(P3) == 72
     with pytest.raises(DomainError):
         automorphism_count(BoundingPair("ENEN", "NENE"))
+
+
+def test_automorphism_count_matches_permutation_oracle():
+    """Every connected pair on at most 7 elements."""
+    connected = [p for n in range(8) for p in all_pairs(n) if is_connected(p)]
+    assert len(connected) == 198
+    for p in connected:
+        assert automorphism_count(p) == automorphism_count_brute(p.lower, p.upper), p
 
 
 def test_to_rank_table():

@@ -1,12 +1,19 @@
+import random
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latpath import (BoundingPair, DirectSum, DomainError, Dual, FreeExt,
-                     InvalidPavingError, InvalidRelaxationError, Paving,
-                     Relax, ResourceError, Truncate, Uniform, brute_circuits,
-                     brute_connected_flats, brute_connectivity,
+                     InvalidPavingError, InvalidRelaxationError, ParallelExt,
+                     Paving, Relax, ResourceError, Truncate, Uniform,
+                     brute_circuits, brute_connected_flats, brute_connectivity,
                      brute_fundamental_flats, catalog, construct, dual_table,
                      entry_table, has_minor, is_isomorphic, minor,
-                     relax_table, to_rank_table)
+                     paving_table, relax_table, to_rank_table)
+from latpath import ranktable
+from gen import all_pairs, band_pair, random_table
+from oracles import match_rank, pair_sets
 
 P3 = Truncate(DirectSum(Uniform(2, 3), Uniform(2, 3)), 3)
 
@@ -176,3 +183,70 @@ def test_axioms_hold_on_samples():
 def test_pair_bridge_matches_construction():
     t = to_rank_table(BoundingPair("EENN", "NNEE"))
     assert is_isomorphic(t, construct(Uniform(2, 4))) is not None
+
+
+def test_to_rank_table_matches_matching_oracle_exhaustively():
+    """Every subset of every pair on at most 7 elements."""
+    for n in range(8):
+        for pair in all_pairs(n):
+            sets = pair_sets(pair.lower, pair.upper)
+            ranks = to_rank_table(pair).ranks
+            for mask in range(1 << n):
+                X = [x for x in range(1, n + 1) if mask >> (x - 1) & 1]
+                assert ranks[mask] == match_rank(sets, X), (pair, X)
+
+
+def test_to_rank_table_band_pair_n16_within_time_bound():
+    pair = band_pair(random.Random(3), 16, 3)
+    t0 = time.perf_counter()
+    table = to_rank_table(pair)
+    assert time.perf_counter() - t0 < 1.0
+    assert table.rank_total == 8
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_minor_ranks_are_contraction_differences(seed):
+    rng = random.Random(seed)
+    t = random_table(rng, n_max=8)
+    labels = list(t.ground)
+    rng.shuffle(labels)
+    k = rng.randint(0, len(labels))
+    cut = rng.randint(0, k)
+    D, C = set(labels[:cut]), set(labels[cut:k])
+    m = minor(t, D, C)
+    kept = [e for e in t.ground if e not in D | C]
+    assert list(m.ground) == kept
+    for mask in range(1 << len(kept)):
+        X = {e for i, e in enumerate(kept) if mask >> i & 1}
+        assert m.rank(X) == t.rank(X | C) - t.rank(C)
+
+
+def test_tables_past_the_hard_limit_are_refused_before_allocation():
+    wide = BoundingPair("E" * 13 + "N" * 13, "EN" * 13)
+    for build in (lambda: to_rank_table(wide, cap=64),
+                  lambda: paving_table(2, range(30), []),
+                  lambda: construct(Uniform(1, 30), cap=64),
+                  lambda: construct(Paving(2, range(30), []), cap=64)):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceError):
+            build()
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_every_builder_checks_size_against_the_limit(monkeypatch):
+    monkeypatch.setattr(ranktable, "TABLE_LIMIT", 8)
+    for expr in (Uniform(1, 9), DirectSum(Uniform(1, 5), Uniform(1, 4)),
+                 FreeExt(Uniform(1, 8)), ParallelExt(Uniform(1, 8), 1),
+                 Paving(2, range(9), [])):
+        with pytest.raises(ResourceError):
+            construct(expr, cap=64)
+    with pytest.raises(ResourceError):
+        to_rank_table(BoundingPair("E" * 9, "E" * 9), cap=64)
+    with pytest.raises(ResourceError):
+        paving_table(2, range(9), [])
+    construct(FreeExt(Uniform(1, 7)), cap=64)
+    for expr in (DirectSum(Uniform(1, 4), Uniform(1, 4)),
+                 ParallelExt(Uniform(1, 7), 1)):
+        with pytest.raises(ResourceError):
+            construct(expr, cap=7)
