@@ -7,7 +7,7 @@ from .errors import (DomainError, InputError, InvalidPavingError,
                      ResourceError)
 from .families import (CatalogEntry, VerificationReport, catalog, entry_table,
                        is_generalized_catalan, is_notch, lpmchar_check,
-                       notlpm_certificate, pn_minor_test, relax,
+                       notlpm_certificate, pn_minor_test,
                        table_components, table_in_catalan, table_in_notch,
                        table_is_lpm, verify_excluded_minor)
 from .pairs import (BoundingPair, FundamentalFlats, IntervalPresentation,

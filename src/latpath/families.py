@@ -16,9 +16,7 @@ from .pairs import BoundingPair, lpm_components, to_rank_table
 from .ranktable import (DirectSum, Dual, FreeExt, Paving, Relax, Truncate,
                         Uniform, brute_circuits, brute_connected_flats,
                         brute_fundamental_flats, construct, has_minor, minor,
-                        relax_table, _is_connected_mask)
-
-relax = relax_table
+                        _is_connected_mask)
 
 
 # pair-level membership
@@ -69,15 +67,16 @@ def table_components(table):
             a = parent[a]
         return a
 
+    index = {e: i for i, e in enumerate(table.ground)}
     for c in brute_circuits(table):
-        idx = sorted(table.mask_of([e]).bit_length() - 1 for e in c)
+        idx = sorted(index[e] for e in c)
         for a, b in zip(idx, idx[1:]):
             parent[find(a)] = find(b)
     blocks = {}
     for i in range(n):
         blocks.setdefault(find(i), []).append(table.ground[i])
     return tuple(tuple(b) for b in sorted(blocks.values(),
-                                          key=lambda b: table.ground.index(b[0])))
+                                          key=lambda b: index[b[0]]))
 
 
 def _restriction(table, elements):

@@ -117,8 +117,9 @@ def element_interval(pair, x):
 
 
 def loops(pair):
-    return tuple(x for x in range(1, pair.size + 1)
-                 if element_interval(pair, x) is None)
+    """Steps in no presentation set: those where element_interval is None."""
+    lp, up = prefix_n(pair.lower), prefix_n(pair.upper)
+    return tuple(x for x in range(1, pair.size + 1) if lp[x - 1] >= up[x])
 
 
 def isthmuses(pair):
@@ -341,14 +342,17 @@ def connectivity(pair):
         k = min(r, m) + 1
         return k, (frozenset(range(1, k + 1)), frozenset(range(k + 1, n + 1)))
     lp, up = prefix_n(pair.lower), prefix_n(pair.upper)
+    # (k, position, side): side 1 is the final segment after a lower NE
+    # corner at t, side 0 the initial segment before an upper EN corner.
     cands = []
     for t in range(1, n):
         if pair.lower[t - 1] == "N" and pair.lower[t] == "E":
-            cands.append((up[t] - lp[t - 1], t, 1, frozenset(range(t + 1, n + 1))))
+            cands.append((up[t] - lp[t - 1], t, 1))
         if pair.upper[t - 1] == "E" and pair.upper[t] == "N":
             j = t + 1
-            cands.append((up[j] - lp[j - 1], j, 0, frozenset(range(1, t + 1))))
-    k, _, _, flat = min(cands)
+            cands.append((up[j] - lp[j - 1], j, 0))
+    k, pos, side = min(cands)
+    flat = frozenset(range(pos + 1, n + 1) if side else range(1, pos))
     return k, (flat, frozenset(range(1, n + 1)) - flat)
 
 

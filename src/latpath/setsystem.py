@@ -8,7 +8,7 @@ maximal presentation) is computed through such matchings.
 
 from dataclasses import dataclass
 
-from .errors import DomainError, MalformedPresentationError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,22 @@ def make_system(ground, sets):
     return SetSystem(tuple(ground), tuple(frozenset(s) for s in sets))
 
 
-def _max_matching(system, elements):
+def _incidence(system):
+    """Element -> indices of the sets containing it, ascending."""
+    adj = {e: [] for e in system.ground}
+    for j, s in enumerate(system.sets):
+        for e in s:
+            adj[e].append(j)
+    return adj
+
+
+def _max_matching(adj, elements):
     """Maximum matching of `elements` into the sets containing them.
 
-    Returns (match_set, match_elt): set index -> element and element -> set
-    index.  Deterministic: elements in the given order, sets in index order.
+    `adj` maps each element to its set indices (see _incidence).  Returns
+    (match_set, match_elt): set index -> element and element -> set index.
+    Deterministic: elements in the given order, sets in index order.
     """
-    sets = system.sets
-    adj = {}
-    for e in elements:
-        adj[e] = [j for j, s in enumerate(sets) if e in s]
     match_set = {}
     match_elt = {}
 
@@ -73,61 +79,33 @@ def matching_rank(system, X=None):
         if not X <= g:
             raise DomainError("rank query outside the ground set")
         elements = [e for e in system.ground if e in X]
-    match_set, _ = _max_matching(system, elements)
+    match_set, _ = _max_matching(_incidence(system), elements)
     return len(match_set)
-
-
-def _rematch_avoiding(system, match_set, match_elt, j, banned):
-    """Try to re-saturate set j without using element `banned`.
-
-    Mutates the two matching dicts on success.  Success means the matching
-    size is preserved after dropping `banned`, i.e. `banned` is not an
-    isthmus-style forced element for this matching.
-    """
-    sets = system.sets
-    order = {e: i for i, e in enumerate(system.ground)}
-
-    def search(jj, used):
-        members = sorted((e for e in sets[jj] if e != banned), key=order.__getitem__)
-        for e in members:
-            if e not in match_elt:
-                match_set[jj] = e
-                match_elt[e] = jj
-                return True
-        for e in members:
-            j2 = match_elt[e]
-            if j2 == jj or j2 in used:
-                continue
-            used.add(j2)
-            if search(j2, used):
-                match_set[jj] = e
-                match_elt[e] = jj
-                return True
-        return False
-
-    return search(j, {j})
 
 
 def special_elements(system):
     """(loops, isthmuses) of the presented matroid.
 
     A loop lies in no set.  An isthmus is an element whose removal drops the
-    rank; detected by one maximum matching plus one augmenting search per
-    matched element.
+    rank, i.e. one covered by every maximum matching.  By Dulmage-Mendelsohn
+    (1958) these are the matched elements that no even alternating path from
+    an unmatched element reaches, so one maximum matching plus one walk over
+    those paths finds them all.
     """
-    loops = [e for e in system.ground if not any(e in s for s in system.sets)]
-    match_set, match_elt = _max_matching(system, list(system.ground))
-    isthmuses = []
-    for x in system.ground:
-        j = match_elt.get(x)
-        if j is None:
-            continue
-        ms, me = dict(match_set), dict(match_elt)
-        del ms[j]
-        del me[x]
-        if not _rematch_avoiding(system, ms, me, j, x):
-            isthmuses.append(x)
-    return tuple(loops), tuple(isthmuses)
+    adj = _incidence(system)
+    loops = tuple(e for e in system.ground if not adj[e])
+    match_set, match_elt = _max_matching(adj, system.ground)
+    # From an element, any set containing it leads on to that set's partner;
+    # every such set is matched, or the matching would not be maximum.
+    stack = [e for e in system.ground if e not in match_elt]
+    reached = set(stack)
+    while stack:
+        for j in adj[stack.pop()]:
+            f = match_set[j]
+            if f not in reached:
+                reached.add(f)
+                stack.append(f)
+    return loops, tuple(e for e in system.ground if e not in reached)
 
 
 def maximal_presentation(system):
@@ -137,10 +115,8 @@ def maximal_presentation(system):
     then grow each set A by the isthmuses of the matroid with A's elements
     deleted.  Idempotent; the output has exactly rank-many sets.
     """
-    match_set, _ = _max_matching(system, list(system.ground))
+    match_set, _ = _max_matching(_incidence(system), system.ground)
     reduced = [system.sets[j] for j in sorted(match_set)]
-    if len(reduced) != matching_rank(system):
-        raise MalformedPresentationError("reduction lost rank")
     grown = []
     for a in reduced:
         rest = tuple(e for e in system.ground if e not in a)

@@ -5,9 +5,10 @@ import pytest
 from latpath import (BoundingPair, DomainError, catalog, count_bases,
                      dual_table, entry_table, is_generalized_catalan,
                      is_isomorphic, is_notch, lpmchar_check,
-                     notlpm_certificate, pn_minor_test, recognize, relax,
-                     table_components, table_in_catalan, table_in_notch,
-                     table_is_lpm, to_rank_table, verify_excluded_minor)
+                     notlpm_certificate, pn_minor_test, recognize,
+                     relax_table, table_components, table_in_catalan,
+                     table_in_notch, table_is_lpm, to_rank_table,
+                     verify_excluded_minor)
 
 P3 = BoundingPair("EENENN", "NNENEE")
 U24 = BoundingPair("EENN", "NNEE")
@@ -85,7 +86,7 @@ def test_table_predicates():
 
 
 def test_relax_circuit_hyperplane_gives_catalan():
-    relaxed = relax(to_rank_table(P3), {1, 2, 3})
+    relaxed = relax_table(to_rank_table(P3), {1, 2, 3})
     assert relaxed.rank({1, 2, 3}) == 3
     assert table_in_catalan(relaxed)
     out = recognize_table(relaxed)
@@ -131,7 +132,7 @@ def _subsets(ground, k):
 def test_relax_whirl():
     from latpath import construct
     w3 = entry_table(catalog("W3"))
-    relaxed = relax(w3, set(next(iter(_triangles(w3)))))
+    relaxed = relax_table(w3, set(next(iter(_triangles(w3)))))
     assert is_isomorphic(relaxed, entry_table(catalog("Whirl3")))
 
 

@@ -1,5 +1,9 @@
 """Bounding-pair operations: presentations, counting, surgery, flats."""
 
+import random
+import time
+import tracemalloc
+
 import pytest
 
 from latpath import (BoundingPair, DomainError, InputError,
@@ -12,7 +16,7 @@ from latpath import (BoundingPair, DomainError, InputError,
                      lpm_maximal_presentation, path_minor, restrict_interval,
                      spanning_circuit, standard_presentation, to_rank_table,
                      validate_word)
-from gen import all_pairs
+from gen import all_pairs, band_pair
 from oracles import all_bases, automorphism_count_brute, circuits_of, pair_sets
 
 U24 = BoundingPair("EENN", "NNEE")
@@ -52,6 +56,21 @@ def test_element_interval_and_special_elements():
     assert loops(P3) == () and isthmuses(P3) == ()
     with pytest.raises(DomainError):
         element_interval(P3, 7)
+
+
+def test_loops_are_the_steps_without_an_interval():
+    for n in range(7):
+        for pair in all_pairs(n):
+            assert loops(pair) == tuple(
+                x for x in range(1, n + 1) if element_interval(pair, x) is None)
+
+
+def test_loops_band_pair_n4096_within_time_bound():
+    pair = band_pair(random.Random(5), 4096, 8)
+    start = time.perf_counter()
+    got = loops(pair)
+    assert time.perf_counter() - start < 1.0
+    assert got == ()
 
 
 def test_count_bases():
@@ -214,6 +233,19 @@ def test_connectivity():
     assert connectivity(BoundingPair("", ""))[0] == float("inf")
     assert connectivity(PC) == (
         2, (frozenset({1, 2}), frozenset({3, 4, 5, 6, 7, 8})))
+
+
+def test_connectivity_band_pair_n4096_memory_bound():
+    pair = band_pair(random.Random(5), 4096, 8)
+    tracemalloc.start()
+    try:
+        k, (side, rest) = connectivity(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert side | rest == frozenset(range(1, 4097)) and not side & rest
+    assert min(len(side), len(rest)) >= k
 
 
 def test_connectivity_three_connected_shape():

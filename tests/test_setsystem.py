@@ -1,7 +1,21 @@
+import random
+
 import pytest
 
 from latpath import (DomainError, components, make_system, matching_rank,
                      maximal_presentation, special_elements)
+from gen import random_pair, random_system, shuffled_presentation
+from oracles import bondy_maximal, match_rank
+
+
+def _seeded_systems(seed, count):
+    """Arbitrary systems and shuffled pair presentations, n <= 9, alternating."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            yield random_system(rng, n_max=9)
+        else:
+            yield shuffled_presentation(rng, random_pair(rng, 1, 9))[0]
 
 
 def test_matching_rank_two_overlapping_intervals():
@@ -53,6 +67,31 @@ def test_special_elements_loop_and_isthmus():
 def test_special_elements_none():
     sys_ = make_system([1, 2, 3, 4], [{1, 2, 3}, {2, 3, 4}])
     assert special_elements(sys_) == ((), ())
+
+
+def test_special_elements_match_rank_oracle():
+    for system in _seeded_systems(2026, 400):
+        ground = list(system.ground)
+        sets = [set(s) for s in system.sets]
+        loops, isth = special_elements(system)
+        assert loops == tuple(e for e in ground
+                              if not any(e in s for s in sets))
+        base = match_rank(sets, ground)
+        assert isth == tuple(e for e in ground
+                             if match_rank(sets, [x for x in ground if x != e]) < base)
+
+
+def test_maximal_presentation_matches_bondy_oracle():
+    checked = 0
+    for system in _seeded_systems(2027, 600):
+        ground = list(system.ground)
+        sets = [set(s) for s in system.sets]
+        if match_rank(sets, ground) != len(sets):
+            continue
+        got = [set(s) for s in maximal_presentation(system).sets]
+        assert got == bondy_maximal(ground, sets)
+        checked += 1
+    assert checked >= 300
 
 
 def test_maximal_presentation_grows_both_sets():
